@@ -12,17 +12,26 @@ Claims pinned here (asserted at the default scale, recorded always):
 * memoized end-to-end ingest beats the PR 1 ingest loop ≥ 1.5x (the
   PR 1 loop is frozen verbatim below so the baseline can't drift);
 * the engine's clusters are identical to ``cluster_log``'s at every
-  shard count and table kind, so the speed is not bought with drift.
+  shard count and table kind, so the speed is not bought with drift;
+* a single-prefix route delta costs ``StrideLpm`` at most 2x what it
+  costs ``PackedLpm`` — the stride overlay is patched inside the
+  delta's windows only, so it can no longer dominate a patch.
 
 Numbers land in ``BENCH_engine.json`` via the ``bench_trajectory``
 fixture (see ``conftest.py``).
 """
 
 import itertools
+import random
+import statistics
 import time
 
 import pytest
+from conftest import BENCH_SEED
 
+from repro.bgp.sources import source_by_name
+from repro.bgp.synth import DeltaGenerator, RouteDelta
+from repro.bgp.table import MergedPrefixTable
 from repro.core.clustering import cluster_log
 from repro.engine import (
     EngineConfig,
@@ -33,6 +42,7 @@ from repro.engine import (
 )
 from repro.engine.shm import ShmWorkerGroup
 from repro.engine.state import ClusterStore, _ClusterState
+from repro.net.prefix import Prefix
 
 BATCH_TARGET = 120_000  # ≥100k lookups, per the acceptance bar
 
@@ -337,6 +347,124 @@ class TestFastpath:
                 f"memoized ingest is only {speedup:.2f}x the PR 1 loop "
                 "(needs >= 1.5x at the default scale)"
             )
+
+
+def _delta_stream(table, count, seed):
+    """A seeded stream of single-prefix structural deltas against
+    ``table``: announces of absent /24s inside live entries (the serve
+    stream's usual delta) alternating at random with withdrawals of live
+    entries, each valid against the routing state the stream has built
+    so far."""
+    rng = random.Random(seed)
+    live = dict(table.items())
+    stream = []
+    while len(stream) < count:
+        if rng.random() < 0.5:
+            host = rng.choice(sorted(live, key=Prefix.sort_key))
+            if host.length > 24:
+                continue
+            candidate = Prefix(
+                host.network | (rng.getrandbits(24 - host.length) << 8), 24
+            )
+            if candidate in live:
+                continue
+            live[candidate] = live[host]
+            stream.append(([(candidate, live[host])], []))
+        else:
+            victim = rng.choice(sorted(live, key=Prefix.sort_key))
+            del live[victim]
+            stream.append(([], [victim]))
+    return stream
+
+
+def _time_patches(entries, stream):
+    """Apply ``stream`` (``(announce, withdraw)`` batches) to a packed
+    and a stride table compiled from ``entries``, interleaved delta by
+    delta so drift penalises both kinds alike.  Returns the per-delta
+    seconds of the structural deltas, per kind, after checking both
+    patched tables against a rebuild."""
+    tables = {"packed": PackedLpm(entries), "stride": StrideLpm(entries)}
+    samples = {kind: [] for kind in tables}
+    for announce, withdraw in stream:
+        for kind, table in tables.items():
+            began = time.perf_counter()
+            result = table.apply_delta(announce, withdraw)
+            elapsed = time.perf_counter() - began
+            if result.structural:
+                samples[kind].append(elapsed)
+    for table in tables.values():
+        table.verify_patched()
+    assert tables["stride"].digest() == tables["packed"].digest()
+    return samples
+
+
+def _patch_record(entries, samples):
+    packed_median = statistics.median(samples["packed"])
+    stride_median = statistics.median(samples["stride"])
+    return {
+        "entries": len(entries),
+        "structural_deltas": len(samples["stride"]),
+        "packed_median_seconds": round(packed_median, 7),
+        "stride_median_seconds": round(stride_median, 7),
+        "packed_max_seconds": round(max(samples["packed"]), 7),
+        "stride_max_seconds": round(max(samples["stride"]), 7),
+        "stride_vs_packed": round(stride_median / packed_median, 3),
+    }
+
+
+class TestPatch:
+    """Per-delta in-place patch cost, packed vs stride — the ``patch``
+    record of ``BENCH_engine.json``.  ``merged`` is the Nagano merged
+    table under a seeded stream of single-prefix deltas; ``serve_source``
+    is the serve stream's shape: one source's day-0 table (AADS, what
+    ``repro-bgp-synth --write-tables`` writes) under the generator's own
+    delta stream, one event per batch."""
+
+    DELTAS = 400
+
+    def test_stride_patch_costs_its_window(self, factory, merged_table,
+                                          bench_trajectory):
+        merged_entries = merged_table.export_entries()
+        merged_stream = _delta_stream(
+            PackedLpm(merged_entries), self.DELTAS, seed=BENCH_SEED
+        )
+        merged = _patch_record(
+            merged_entries, _time_patches(merged_entries, merged_stream)
+        )
+
+        source = source_by_name("AADS")
+        source_entries = MergedPrefixTable.from_tables(
+            [factory.snapshot(source)]
+        ).export_entries()
+        generator = DeltaGenerator(factory, source=source, seed=BENCH_SEED)
+        source_stream = [
+            ([(delta.prefix, delta.source)], [])
+            if delta.op == RouteDelta.OP_ANNOUNCE
+            else ([], [delta.prefix])
+            for delta in generator.events(self.DELTAS)
+        ]
+        serve_source = _patch_record(
+            source_entries, _time_patches(source_entries, source_stream)
+        )
+
+        bench_trajectory["results"]["patch"] = {
+            "merged": merged,
+            "serve_source": serve_source,
+        }
+        for name, record in (("merged", merged),
+                             ("serve_source", serve_source)):
+            print(
+                f"\npatch {name} ({record['entries']:,} entries, "
+                f"{record['structural_deltas']} structural deltas): "
+                f"packed {record['packed_median_seconds'] * 1e3:.3f}ms, "
+                f"stride {record['stride_median_seconds'] * 1e3:.3f}ms "
+                f"per delta ({record['stride_vs_packed']:.2f}x)"
+            )
+        ratio = merged["stride_vs_packed"]
+        assert ratio <= 2.0, (
+            f"a stride patch costs {ratio:.2f}x a packed one (must be "
+            "<= 2x: the overlay is patched inside the windows only)"
+        )
 
 
 class TestShmIngest:

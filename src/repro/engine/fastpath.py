@@ -90,7 +90,8 @@ _STRIDE_SHIFT = 16
 _NUM_SLOTS = 1 << 16
 
 #: Slot sentinel: "consult the per-slot run" (any value ≥ -1 is a
-#: direct answer — an entry index, or -1 for an uncovered gap).
+#: direct answer — an entry handle, or -1 for an uncovered gap).  The
+#: handle → position list ends with it, so it translates to itself.
 _INDIRECT = -2
 
 
@@ -105,10 +106,10 @@ class StrideLpm(PackedLpm):
     * ``_slots[s]`` — the answer for every address whose top 16 bits
       equal ``s`` when one interval covers the whole /16 block (every
       prefix ≤ /16 that no longer prefix punches into, and every
-      uncovered gap) — an entry index, or -1 for a miss — else the
+      uncovered gap) — an entry handle, or -1 for a miss — else the
       ``_INDIRECT`` sentinel;
     * ``_runs[s]`` — for indirect slots, the slot's own
-      ``(starts, owners)`` interval run as two plain int lists, the
+      ``(starts, owner handles)`` interval run as two plain int lists, the
       first start clamped to the slot base so ``bisect_right`` can
       never land before the run.  Lists, not shared arrays: a bisect
       over a small int list compares already-boxed ints, where an
@@ -118,7 +119,8 @@ class StrideLpm(PackedLpm):
     shift + one array index for every address in a direct slot, and a
     binary search over the handful of intervals inside one /16 block
     otherwise — against the full-table search :class:`PackedLpm` pays
-    for every address.
+    for every address.  Like the packed owners, slots and runs hold
+    stable entry handles, translated to positions on the way out.
     """
 
     __slots__ = ("_slots", "_runs")
@@ -169,31 +171,15 @@ class StrideLpm(PackedLpm):
     ) -> PatchResult:
         """Patch the packed layout, then repair the stride overlay.
 
-        Outside the patch's address windows the interval *boundaries*
-        are untouched — entry indices merely shifted — so those slots
-        and runs only need the index remap applied.  Slots overlapping
-        a window are rebuilt from the patched intervals with the same
-        monotone walk compilation uses, which keeps the overlay
+        Slots and runs store entry handles, which a patch never moves,
+        so only the slots overlapping the patch's address windows change
+        at all: they are rebuilt from the patched intervals with the
+        same monotone walk compilation uses.  That keeps the overlay
         bit-identical to a from-scratch :class:`StrideLpm` (the
         :meth:`verify_patched` gate compares ``_slots`` and ``_runs``
-        too).
+        too) at a cost of the windows' slots, not all 2^16.
         """
         result = super().apply_delta(announce, withdraw)
-        remap = result.remap
-        if remap is None:
-            return result
-        slots = self._slots
-        self._slots = array(
-            "q", [remap[owner] if owner >= 0 else owner for owner in slots]
-        )
-        runs = self._runs
-        for slot, run in enumerate(runs):
-            if run is not None:
-                run_starts, run_owners = run
-                runs[slot] = (
-                    run_starts,
-                    [remap[o] if o >= 0 else o for o in run_owners],
-                )
         for low, high in result.windows:
             self._rebuild_slots(low >> _STRIDE_SHIFT, high >> _STRIDE_SHIFT)
         return result
@@ -226,11 +212,29 @@ class StrideLpm(PackedLpm):
                 runs[slot] = (run_starts, list(owners[index:last + 1]))
                 index = last
 
+    def _positional_overlay(
+        self,
+    ) -> Tuple["array[int]", List[Optional[_SlotRun]]]:
+        """The overlay with handles translated to positions — its
+        canonical, pickled form (an unpatched table's overlay already
+        is).  Run start lists are shared, not copied: patches replace a
+        slot's run, never mutate it."""
+        if self._handles is None:
+            return self._slots, self._runs
+        position = self._handles.position
+        runs = [
+            None if run is None
+            else (run[0], list(map(position.__getitem__, run[1])))
+            for run in self._runs
+        ]
+        return self._positional(self._slots), runs
+
     def verify_patched(self) -> None:
         """Equivalence gate, extended to the stride overlay."""
         super().verify_patched()
         rebuilt = StrideLpm(list(zip(self._prefixes, self._values)))
-        if rebuilt._slots != self._slots or rebuilt._runs != self._runs:
+        slots, runs = self._positional_overlay()
+        if rebuilt._slots != slots or rebuilt._runs != runs:
             raise SanitizeError(
                 "patched StrideLpm overlay diverged from a from-scratch "
                 f"rebuild at epoch {self.epoch}: the stride index no "
@@ -242,26 +246,16 @@ class StrideLpm(PackedLpm):
     def match_index(self, address: int) -> int:
         slot = address >> _STRIDE_SHIFT
         owner = self._slots[slot]
-        if owner >= -1:
-            return owner
-        run_starts, run_owners = self._runs[slot]  # type: ignore[misc]
-        return run_owners[bisect_right(run_starts, address) - 1]
-
-    def longest_match(self, address: int) -> Optional[Tuple[Prefix, Any]]:
-        owner = self.match_index(address)
-        if owner < 0:
-            return None
-        return self._prefixes[owner], self._values[owner]
-
-    def lookup(self, address: int) -> Any:
-        owner = self.match_index(address)
-        if owner < 0:
-            return None
-        return self._values[owner]
+        if owner < -1:
+            run_starts, run_owners = self._runs[slot]  # type: ignore[misc]
+            owner = run_owners[bisect_right(run_starts, address) - 1]
+        handles = self._handles
+        return owner if handles is None else handles.position[owner]
 
     def lookup_many(self, addresses: Iterable[int]) -> List[int]:
         """Batch lookup: one shift + one index per direct-slot address,
-        a run-bounded binary search otherwise.
+        a run-bounded binary search otherwise (plus, once patched, one
+        C-level handle → position pass).
 
         Under ``REPRO_SANITIZE=1`` a sampled fraction of calls is
         recomputed through the packed binary-search path and compared —
@@ -286,6 +280,7 @@ class StrideLpm(PackedLpm):
                 run_starts, run_owners = runs[slot]  # type: ignore[misc]
                 owner = run_owners[search(run_starts, address) - 1]
             append(owner)
+        out = self._to_positions(out)
         if sanitizing and _sanitize.crosscheck_due():
             expected = PackedLpm.lookup_many(self, addresses)
             if expected != out:
@@ -300,7 +295,8 @@ class StrideLpm(PackedLpm):
     # -- pickling --------------------------------------------------------
 
     def __getstate__(self) -> _StrideState:
-        return (super().__getstate__(), self._slots, self._runs)
+        slots, runs = self._positional_overlay()
+        return (super().__getstate__(), slots, runs)
 
     def __setstate__(self, state: _StrideState) -> None:
         packed_state, self._slots, self._runs = state

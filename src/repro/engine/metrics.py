@@ -57,6 +57,7 @@ class EngineMetrics:
         self.total_seconds = 0.0
         self.max_batch_seconds = 0.0
         self.patch_seconds = 0.0
+        self.max_patch_seconds = 0.0
         self.shard_entries: List[int] = [0] * self.num_shards
 
     # -- recording -------------------------------------------------------
@@ -122,6 +123,8 @@ class EngineMetrics:
         self.routes_withdrawn += withdrawn
         self.clients_reclustered += reclustered
         self.patch_seconds += seconds
+        if seconds > self.max_patch_seconds:
+            self.max_patch_seconds = seconds
 
     def record_patch_fallback(self) -> None:
         """A delta batch was too large to patch in place and the serve
@@ -267,6 +270,7 @@ class EngineMetrics:
             "max_batch_seconds": self.max_batch_seconds,
             "patch_seconds": self.patch_seconds,
             "mean_patch_seconds": self.mean_patch_seconds,
+            "max_patch_seconds": self.max_patch_seconds,
             "entries_per_second": self.entries_per_second,
             "memo_hit_rate": self.memo_hit_rate,
             "shard_skew": self.shard_skew,
@@ -320,5 +324,6 @@ class EngineMetrics:
         rows.append(["max_batch_seconds", f"{snap['max_batch_seconds']:.6f}"])
         rows.append(["patch_seconds", f"{snap['patch_seconds']:.6f}"])
         rows.append(["mean_patch_seconds", f"{snap['mean_patch_seconds']:.6f}"])
+        rows.append(["max_patch_seconds", f"{snap['max_patch_seconds']:.6f}"])
         rows.append(["shard_skew", f"{snap['shard_skew']:.3f}"])
         return render_table(["metric", "value"], rows, title="engine metrics")

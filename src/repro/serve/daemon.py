@@ -468,6 +468,7 @@ class ServeDaemon:
             "wal_appends": self.metrics.wal_appends,
             "checkpoints": self.metrics.checkpoints_written,
             "epoch": int(self.table.epoch),
+            "max_patch_ms": round(self.metrics.max_patch_seconds * 1e3, 3),
         }
 
     def snapshot(self, name: Optional[str] = None) -> ClusterSet:

@@ -60,7 +60,7 @@ class TestExport:
             "wal_truncated_frames", "wal_enospc_recoveries", "shed_events",
             "shm_unlink_failures",
             "total_seconds", "mean_batch_seconds", "max_batch_seconds",
-            "patch_seconds", "mean_patch_seconds",
+            "patch_seconds", "mean_patch_seconds", "max_patch_seconds",
             "entries_per_second", "shard_skew", "memo_hit_rate",
         }
 
@@ -77,7 +77,10 @@ class TestExport:
         assert snap["patch_rebuild_fallbacks"] == 1
         assert snap["patch_seconds"] == 0.75
         assert snap["mean_patch_seconds"] == 0.375
+        assert snap["max_patch_seconds"] == 0.5
+        assert "max_patch_seconds" in metrics.render()
         assert EngineMetrics(1).mean_patch_seconds == 0.0
+        assert EngineMetrics(1).max_patch_seconds == 0.0
 
     def test_memo_counters(self):
         metrics = EngineMetrics(2)

@@ -12,6 +12,10 @@ routing state — same indices, same digest, same internals
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import random
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +23,11 @@ from hypothesis import strategies as st
 
 from repro.engine.fastpath import MemoizedLookup, StrideLpm
 from repro.engine.packed import PackedLpm, merge_windows
+from repro.engine.state import (
+    ClusterStore,
+    read_checkpoint_table,
+    write_checkpoint,
+)
 from repro.net.lpm import build_engine
 from repro.net.prefix import Prefix
 
@@ -102,6 +111,26 @@ def test_patched_equals_rebuilt(kind, initial, batches):
         for prefix in withdraw:
             model.pop(prefix, None)
 
+    _assert_matches_rebuild(table, model)
+    assert int(table.epoch) == effective
+    # The canonical positional state survives every persistence path.
+    restored = pickle.loads(pickle.dumps(table))
+    _assert_matches_rebuild(restored, model)
+    assert int(restored.epoch) == effective
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "patched.ckpt")
+        write_checkpoint(
+            path, [ClusterStore()], table_digest=table.digest(), table=table
+        )
+        view = read_checkpoint_table(path)
+        assert view is not None and view.is_view
+        _assert_matches_rebuild(view, model)
+        assert int(view.epoch) == effective
+        del view  # release the mapping before the directory goes
+
+
+def _assert_matches_rebuild(table, model):
+    """``table`` answers exactly like a fresh compile of ``model``."""
     rebuilt = PackedLpm.from_items(_sorted_items(model))
     assert table.digest() == rebuilt.digest()
     assert table.lookup_many(PROBES) == rebuilt.lookup_many(PROBES)
@@ -111,7 +140,6 @@ def test_patched_equals_rebuilt(kind, initial, batches):
         got = table.longest_match(address)
         assert (got and got[0]) == (want and want[0])
     table.verify_patched()
-    assert int(table.epoch) == effective
 
 
 class TestPatchResultContracts:
@@ -193,3 +221,87 @@ class TestMemoInvalidation:
         assert memo.evictions == before + 1
         assert memo.lookup(covered) == "c"
         assert memo.lookup(12 << 24) == "b"
+
+
+@pytest.mark.parametrize("kind", ["packed", "stride"])
+def test_handle_space_stays_bounded(kind):
+    """Withdrawn handles are recycled: however long the churn, a table
+    never holds more handles than entries it could have live at once
+    (every pool prefix, here), where fresh handles per insert would grow
+    without bound."""
+    rng = random.Random(7)
+    model = {prefix: "v" for prefix in POOL[::2]}
+    table = _build(kind, _sorted_items(model))
+    for serial in range(400):
+        present = sorted(model, key=Prefix.sort_key)
+        absent = [prefix for prefix in POOL if prefix not in model]
+        withdraw = rng.sample(present, min(len(present), rng.randint(0, 3)))
+        announce = {
+            prefix: f"n{serial}"
+            for prefix in rng.sample(absent, min(len(absent), rng.randint(0, 3)))
+        }
+        table.apply_delta(list(announce.items()), withdraw)
+        for prefix in withdraw:
+            del model[prefix]
+        model.update(announce)
+        assert table.num_handles <= len(POOL)
+    assert table.deltas_applied > 400
+    _assert_matches_rebuild(table, model)
+
+
+def _untouched_intervals(starts, owners, windows):
+    """The ``(start, end, stored owner)`` intervals that neither meet a
+    window nor border one (a bordering interval may coalesce with it)."""
+    starts = list(starts)
+    ends = [start - 1 for start in starts[1:]] + [(1 << 32) - 1]
+    return [
+        (start, end, owner)
+        for start, end, owner in zip(starts, ends, owners)
+        if all(end < low - 1 or start > high + 1 for low, high in windows)
+    ]
+
+
+def test_patch_leaves_everything_outside_its_windows_alone(merged_table):
+    """A delta's cost is its window: after a /24 announce and then its
+    withdrawal, the stored intervals, interval owners, stride slots and
+    slot runs outside ``PatchResult.windows`` are exactly what they were
+    before each patch — no whole-table relabelling pass, even though
+    every later entry's *position* shifted."""
+    table = StrideLpm.from_merged(merged_table)
+    present = dict(table.items())
+    host, inserted = next(
+        (prefix, candidate)
+        for prefix in present
+        if 8 <= prefix.length <= 16
+        for candidate in prefix.subnets(24)
+        if candidate not in present
+    )
+    original_owners = list(table._owners)
+
+    for announce, withdraw in (([(inserted, present[host])], []),
+                               ([], [inserted])):
+        starts, owners = list(table._starts), list(table._owners)
+        slots, runs = list(table._slots), list(table._runs)
+        result = table.apply_delta(announce, withdraw)
+        windows = result.windows
+        assert windows == ((inserted.network, inserted.last_address),)
+        # Entry positions did shift: a positional layout would need
+        # relabelling everywhere.
+        assert result.remap != tuple(range(len(result.remap)))
+        untouched = _untouched_intervals(starts, owners, windows)
+        assert len(untouched) >= len(starts) - 3
+        assert _untouched_intervals(
+            table._starts, table._owners, windows
+        ) == untouched
+        touched = {
+            slot
+            for low, high in windows
+            for slot in range(low >> 16, (high >> 16) + 1)
+        }
+        for slot in range(1 << 16):
+            if slot not in touched:
+                assert table._slots[slot] == slots[slot]
+                assert table._runs[slot] is runs[slot]
+        table.verify_patched()
+    # Announce + withdraw is a round trip, down to the stored handles.
+    assert list(table._owners) == original_owners

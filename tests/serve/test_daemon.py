@@ -332,5 +332,6 @@ class TestOverload:
         assert health["ingress"] == 3
         assert health["shedding"] is False
         assert health["shed_events"] == 0
-        for key in ("events", "deltas", "clusters", "epoch", "wal_appends"):
+        for key in ("events", "deltas", "clusters", "epoch", "wal_appends",
+                    "max_patch_ms"):
             assert key in health
