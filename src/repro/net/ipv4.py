@@ -20,6 +20,7 @@ from typing import Iterable, List
 __all__ = [
     "AddressError",
     "MAX_ADDRESS",
+    "OCTET_PATTERN",
     "parse_ipv4",
     "format_ipv4",
     "is_valid_ipv4",
@@ -40,6 +41,15 @@ _MASKS = tuple(((1 << 32) - 1) ^ ((1 << (32 - length)) - 1) for length in range(
 # Reverse map from netmask integer to prefix length, for contiguous masks.
 _MASK_TO_LENGTH = {mask: length for length, mask in enumerate(_MASKS)}
 
+# The strict octet language as a table: the 256 canonical spellings
+# ("0" ... "255", ASCII, no leading zeros) and their values.
+_OCTETS = {str(value): value for value in range(256)}
+
+#: The same language as a regular expression, for embedding in larger
+#: patterns (the serve protocol's canonical log line).  ``[0-9]``, not
+#: ``\d``: the latter also matches non-ASCII digits.
+OCTET_PATTERN = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+
 
 class AddressError(ValueError):
     """Raised when an IPv4 address, netmask, or prefix is malformed."""
@@ -48,21 +58,37 @@ class AddressError(ValueError):
 def parse_ipv4(text: str) -> int:
     """Parse dotted-quad ``text`` into an integer address.
 
-    Strict parser: exactly four decimal octets in ``[0, 255]`` separated
-    by dots, with no leading/trailing whitespace and no leading zeros
-    longer than the value requires (``012`` is rejected; some log
-    processors interpret such octets as octal, which silently corrupts
-    client identities).
+    Strict parser: exactly four ASCII decimal octets in ``[0, 255]``
+    separated by dots, with no leading/trailing whitespace and no
+    leading zeros longer than the value requires (``012`` is rejected;
+    some log processors interpret such octets as octal, which silently
+    corrupts client identities).
+
+    The common case is four lookups in :data:`_OCTETS`, which holds
+    exactly the 256 canonical octet spellings; anything it does not
+    cover goes through :func:`_parse_ipv4_checked`, which accepts
+    nothing more and names what is wrong.
 
     >>> parse_ipv4("12.65.147.94")
-    205558622
+    205624158
     """
+    try:
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (KeyError, ValueError):
+        pass
+    return _parse_ipv4_checked(text)
+
+
+def _parse_ipv4_checked(text: str) -> int:
+    """The field-by-field parser behind :func:`parse_ipv4`: same
+    language, slower, with an error message per kind of damage."""
     parts = text.split(".")
     if len(parts) != 4:
         raise AddressError(f"expected 4 octets in IPv4 address: {text!r}")
     value = 0
     for part in parts:
-        if not part or not part.isdigit():
+        if not part or not (part.isascii() and part.isdigit()):
             raise AddressError(f"non-numeric octet in IPv4 address: {text!r}")
         if len(part) > 1 and part[0] == "0":
             raise AddressError(f"leading zero in IPv4 octet: {text!r}")
@@ -77,12 +103,12 @@ def format_ipv4(address: int) -> str:
     """Render integer ``address`` as a dotted quad.
 
     >>> format_ipv4(205558622)
-    '12.65.147.94'
+    '12.64.147.94'
     """
     if not 0 <= address <= MAX_ADDRESS:
         raise AddressError(f"address out of range: {address!r}")
-    return ".".join(
-        str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return "%d.%d.%d.%d" % (
+        address >> 24, address >> 16 & 0xFF, address >> 8 & 0xFF, address & 0xFF
     )
 
 

@@ -64,7 +64,7 @@ class Prefix:
         address_part, sep, length_part = text.partition("/")
         if not sep:
             raise AddressError(f"missing '/' in CIDR prefix: {text!r}")
-        if not length_part.isdigit():
+        if not (length_part.isascii() and length_part.isdigit()):
             raise AddressError(f"non-numeric prefix length: {text!r}")
         return cls(parse_ipv4(address_part), int(length_part))
 

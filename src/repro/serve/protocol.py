@@ -5,8 +5,9 @@ relative to the requests around them — the property the incremental
 reclustering relies on:
 
 ``{"type": "log", "client": "12.65.147.9", "url": "/a", "size": 1024}``
-    one weblog request; ``client`` is dotted-quad text (or a raw
-    integer address), ``size`` defaults to 0 (a 304, like CLF's "-").
+    one weblog request; ``client`` is dotted-quad text (or a JSON
+    integer address in ``[0, 2**32)``), ``size`` is a non-negative JSON
+    integer and defaults to 0 (a 304, like CLF's "-").
 
 ``{"type": "announce", "prefix": "12.65.128.0/19", "origin_asn": 7018,
 "source": "AADS", "reason": "churn"}``
@@ -22,12 +23,26 @@ pipes straight into ``repro-engine serve`` with no translation.
 Malformed lines raise :class:`~repro.errors.ServeProtocolError`; the
 daemon counts-and-skips them under its ``--max-errors`` budget, the
 same hygiene the batch pipeline applies to malformed CLF lines.
+
+Log events have one *canonical* line, the one :meth:`LogEvent.to_json`
+writes (and so ``repro-bgp-synth`` and the write-ahead log)::
+
+    {"client": "12.65.147.9", "size": 1024, "type": "log", "url": "/a"}
+
+keys sorted, ``json.dumps`` separators, a strict dotted quad, a
+non-negative integer size.  :func:`parse_event` matches that shape with
+one precompiled pattern (url free of ``"``, ``\\`` and control
+characters) before falling back to the general JSON decoder
+:func:`parse_event_json`; the pattern accepts a strict subset of what
+the decoder accepts, and decodes it to the same event.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional, Union
 
 from repro.bgp.synth import RouteDelta
@@ -36,7 +51,13 @@ from repro.errors import (
     ServeLineTooLongError,
     ServeProtocolError,
 )
-from repro.net.ipv4 import AddressError, format_ipv4, parse_ipv4
+from repro.net.ipv4 import (
+    MAX_ADDRESS,
+    OCTET_PATTERN,
+    AddressError,
+    format_ipv4,
+    parse_ipv4,
+)
 
 __all__ = [
     "EVENT_LOG",
@@ -47,6 +68,7 @@ __all__ = [
     "ServeEvent",
     "LineSplitter",
     "parse_event",
+    "parse_event_json",
 ]
 
 #: Default per-line byte budget for :class:`LineSplitter`.  Generous —
@@ -57,6 +79,20 @@ DEFAULT_MAX_LINE_BYTES = 1 << 16
 EVENT_LOG = "log"
 EVENT_ANNOUNCE = RouteDelta.OP_ANNOUNCE
 EVENT_WITHDRAW = RouteDelta.OP_WITHDRAW
+
+#: :meth:`LogEvent.to_json`'s output, spelled out: what ``json.dumps(...,
+#: sort_keys=True)`` writes for a log event's dict, byte for byte.
+_LOG_TEMPLATE = '{"client": "%s", "size": %d, "type": "log", "url": %s}'
+
+#: The canonical log line.  Sizes stop at 18 digits (anything longer
+#: takes the general decoder, which has the interpreter's digit limits);
+#: the url class excludes exactly what JSON would have escaped or
+#: rejected, so the captured text *is* the decoded url.
+_match_canonical_log = re.compile(
+    r'\{"client": "(%s(?:\.%s){3})", "size": (0|[1-9][0-9]{0,17}), '
+    r'"type": "log", "url": "([^"\\\x00-\x1f]*)"\}'
+    % (OCTET_PATTERN, OCTET_PATTERN)
+).fullmatch
 
 
 @dataclass(frozen=True)
@@ -77,7 +113,12 @@ class LogEvent:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte,
+        from a fixed template: the write-ahead log stores this text, so
+        its bytes are the log's format."""
+        return _LOG_TEMPLATE % (
+            format_ipv4(self.client), self.size, encode_basestring_ascii(self.url)
+        )
 
 
 #: Anything the daemon's :meth:`~repro.serve.daemon.ServeDaemon.feed`
@@ -197,8 +238,22 @@ def parse_event(line: str) -> Optional[ServeEvent]:
     """Decode one stream line; blank lines decode to ``None``.
 
     Raises :class:`ServeProtocolError` for anything that is not a JSON
-    object with a known ``type`` and well-formed fields.
+    object with a known ``type`` and well-formed fields.  A canonical
+    log line (see the module docstring) is decoded by pattern; every
+    other line goes through :func:`parse_event_json`, with the same
+    result the pattern would have given.
     """
+    text = line.strip()
+    match = _match_canonical_log(text)
+    if match is not None:
+        client, size, url = match.groups()
+        return LogEvent(parse_ipv4(client), url, int(size))
+    return parse_event_json(text)
+
+
+def parse_event_json(line: str) -> Optional[ServeEvent]:
+    """:func:`parse_event` through the general JSON decoder only — any
+    key order, whitespace, escapes, extra keys, integer clients."""
     text = line.strip()
     if not text:
         return None
@@ -215,20 +270,7 @@ def parse_event(line: str) -> Optional[ServeEvent]:
         )
     kind = data.get("type")
     if kind == EVENT_LOG:
-        try:
-            client = data["client"]
-            address = (
-                parse_ipv4(client) if isinstance(client, str) else int(client)
-            )
-            return LogEvent(
-                client=address,
-                url=str(data.get("url", "")),
-                size=int(data.get("size", 0)),
-            )
-        except (AddressError, KeyError, TypeError, ValueError) as exc:
-            raise ServeProtocolError(
-                f"bad log event: {text[:80]!r} ({exc})"
-            ) from exc
+        return _log_event(data, text)
     if kind in (EVENT_ANNOUNCE, EVENT_WITHDRAW):
         try:
             return RouteDelta.from_dict(data)
@@ -239,3 +281,32 @@ def parse_event(line: str) -> Optional[ServeEvent]:
     raise ServeProtocolError(
         f"unknown event type {kind!r}: {text[:80]!r}"
     )
+
+
+def _log_event(data: Dict[str, Any], text: str) -> LogEvent:
+    """Validate a decoded log event's fields.  Only values the daemon
+    can hold pass: a client it can write back as a dotted quad, a size
+    that cannot drive a byte total negative.  JSON ``true`` and ``2.9``
+    are not integers here, although Python would coerce them."""
+    client = data.get("client")
+    if isinstance(client, str):
+        try:
+            address = parse_ipv4(client)
+        except AddressError as exc:
+            raise ServeProtocolError(
+                f"bad log event: {text[:80]!r} ({exc})"
+            ) from exc
+    elif type(client) is int and 0 <= client <= MAX_ADDRESS:
+        address = client
+    else:
+        raise ServeProtocolError(
+            f"bad log event: {text[:80]!r} (client must be a dotted quad "
+            f"or an integer in [0, 2**32), got {client!r})"
+        )
+    size = data.get("size", 0)
+    if type(size) is not int or size < 0:
+        raise ServeProtocolError(
+            f"bad log event: {text[:80]!r} (size must be a non-negative "
+            f"integer, got {size!r})"
+        )
+    return LogEvent(client=address, url=str(data.get("url", "")), size=size)

@@ -291,6 +291,17 @@ class AppendReceipt:
     rotated: bool = False
 
 
+#: Every receipt :meth:`WalWriter.append` can return, indexed by
+#: ``2 * synced + rotated`` — one per outcome, shared, instead of a new
+#: object per appended event.
+_RECEIPTS = (
+    AppendReceipt(synced=False, rotated=False),
+    AppendReceipt(synced=False, rotated=True),
+    AppendReceipt(synced=True, rotated=False),
+    AppendReceipt(synced=True, rotated=True),
+)
+
+
 class WalWriter:
     """Appends framed events to a segmented log, durably and in order.
 
@@ -394,7 +405,7 @@ class WalWriter:
         if handle.size >= self.segment_bytes:
             self._rotate()
             rotated = True
-        return AppendReceipt(synced=synced, rotated=rotated)
+        return _RECEIPTS[2 * synced + rotated]
 
     def flush(self) -> None:
         """Force the batched fsync now (drain path)."""

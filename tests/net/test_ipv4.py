@@ -1,8 +1,14 @@
 """Unit tests for IPv4 address primitives."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.ipv4 import (
+    OCTET_PATTERN,
+    _parse_ipv4_checked,
     AddressError,
     MAX_ADDRESS,
     address_class,
@@ -41,16 +47,79 @@ class TestParseIpv4:
             "1..2.3",           # empty octet
             "01.2.3.4",         # leading zero (octal ambiguity)
             " 1.2.3.4",         # whitespace
+            "1.2.3.4\n",        # trailing newline
             "",                 # empty
+            "\u0661.2.3.4",     # ARABIC-INDIC DIGIT ONE: a digit, not ASCII
+            "1.2.3.\u00b2",     # SUPERSCRIPT TWO: isdigit() but not int()-able
+            "1.2.3.\uff14",     # FULLWIDTH DIGIT FOUR
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(AddressError):
             parse_ipv4(text)
+        assert not is_valid_ipv4(text)
 
     def test_is_valid_mirrors_parse(self):
         assert is_valid_ipv4("10.0.0.1")
         assert not is_valid_ipv4("10.0.0.999")
+
+
+OCTET_TEXT = st.one_of(
+    st.integers(min_value=0, max_value=300).map(str),
+    st.integers(min_value=0, max_value=99).map(lambda value: f"0{value}"),
+    st.sampled_from(
+        ["", "00", "-1", "+1", " 1", "1 ", "\u0661", "\u00b2", "1_0", "0x1"]
+    ),
+    st.text(max_size=4),
+)
+
+
+def fallback_or_error(text):
+    try:
+        return _parse_ipv4_checked(text)
+    except AddressError:
+        return AddressError
+
+
+def fast_or_error(text):
+    try:
+        return parse_ipv4(text)
+    except AddressError:
+        return AddressError
+
+
+class TestFastParse:
+    @given(octets=st.lists(OCTET_TEXT, min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_fallback_on_four_octets(self, octets):
+        text = ".".join(octets)
+        assert fast_or_error(text) == fallback_or_error(text)
+
+    @given(octets=st.lists(OCTET_TEXT, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_fallback_on_dotted_text(self, octets):
+        text = ".".join(octets)
+        assert fast_or_error(text) == fallback_or_error(text)
+
+    @given(text=st.text(max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fallback_on_arbitrary_text(self, text):
+        assert fast_or_error(text) == fallback_or_error(text)
+
+    @given(address=st.integers(min_value=0, max_value=MAX_ADDRESS))
+    @settings(max_examples=300, deadline=None)
+    def test_format_parse_round_trip(self, address):
+        text = format_ipv4(address)
+        assert text == ".".join(
+            str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+        )
+        assert parse_ipv4(text) == address
+
+    @given(octet=OCTET_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_octet_pattern_is_the_strict_octet_language(self, octet):
+        strict = fallback_or_error(f"0.0.0.{octet}") is not AddressError
+        assert (re.fullmatch(OCTET_PATTERN, octet) is not None) == strict
 
 
 class TestFormatIpv4:

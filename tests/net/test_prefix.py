@@ -28,7 +28,17 @@ class TestConstruction:
     def test_classful_constructor(self):
         assert Prefix.classful(parse_ipv4("151.198.194.17")).cidr == "151.198.0.0/16"
 
-    @pytest.mark.parametrize("text", ["1.2.3.4", "1.2.3.4/33", "1.2.3.4/x", "/24"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.2.3.4",
+            "1.2.3.4/33",
+            "1.2.3.4/x",
+            "/24",
+            "1.2.3.0/\u0661\u0669",  # non-ASCII digits (int() reads 19)
+            "1.2.3.0/\u00b2",  # isdigit() but not int()-able
+        ],
+    )
     def test_rejects_bad_cidr(self, text):
         with pytest.raises(AddressError):
             Prefix.from_cidr(text)

@@ -167,6 +167,30 @@ class TestSignals:
         assert f"stream complete: {len(EVENT_LINES)} events".encode() in stdout
 
 
+class TestProtocolValidation:
+    def test_unholdable_client_is_counted_not_fatal_with_wal(self, tmp_path):
+        """A client outside [0, 2**32) used to decode, then crash the
+        WAL append with a bare traceback; it is a counted bad line."""
+        dump = make_dump(tmp_path)
+        wal_dir = str(tmp_path / "wal")
+        bad = [
+            '{"type": "log", "client": 4294967296}',
+            '{"type": "log", "client": "10.1.0.9", "size": -7}',
+        ]
+        proc = spawn(dump, "--stdin", "--wal", wal_dir, "--max-errors", "5")
+        stdout, stderr = proc.communicate(
+            ("\n".join(EVENT_LINES[:3] + bad + EVENT_LINES[3:]) + "\n").encode(),
+            timeout=30,
+        )
+        assert proc.returncode == 0, stderr.decode()
+        assert b"Traceback" not in stderr
+        assert b"skipped 2 undecodable event line(s)" in stderr
+        assert f"stream complete: {len(EVENT_LINES)} events".encode() in stdout
+        recovery = recover_wal(wal_dir, repair=False)
+        assert recovery.sealed
+        assert recovery.next_index == len(EVENT_LINES)
+
+
 class TestKillNine:
     def test_sigkill_then_recover_matches_clean_run(self, tmp_path):
         dump = make_dump(tmp_path)

@@ -6,6 +6,7 @@ exactly the complete frames before the cut — never a partial frame,
 never a lost complete one.
 """
 
+import json
 import os
 import struct
 
@@ -21,6 +22,8 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.net.ipv4 import MAX_ADDRESS
+from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.wal import (
     FRAME_EVENT,
     FRAME_SEAL,
@@ -32,6 +35,8 @@ from repro.serve.wal import (
     list_segments,
     recover_wal,
 )
+
+from .test_daemon import fresh_table, log, mixed_stream
 
 PAYLOADS = [b'{"type":"log","client":1}', b"x", b"", b"a" * 300, b'{"k":2}']
 
@@ -124,6 +129,16 @@ class TestWriterAndRecovery:
         assert recovery.next_index == len(PAYLOADS)
         assert recovery.truncated_frames == 0
         assert not recovery.sealed
+
+    def test_receipts_report_sync_and_rotation(self, tmp_path):
+        writer = WalWriter(str(tmp_path / "wal"), sync_every=2, segment_bytes=64)
+        first = writer.append(b"a")
+        second = writer.append(b"b")
+        third = writer.append(b"c" * 64)
+        writer.close()
+        assert (first.synced, first.rotated) == (False, False)
+        assert (second.synced, second.rotated) == (True, False)
+        assert (third.synced, third.rotated) == (False, True)
 
     def test_rotation_and_checkpoint_truncation(self, tmp_path):
         directory = str(tmp_path / "wal")
@@ -327,3 +342,51 @@ class TestSegmentHandleCleanup:
             wal_mod._SegmentHandle(str(tmp_path / "seg.wal"), 0, 0)
         assert len(opened) == 1
         assert opened[0].closed
+
+
+class TestPayloadCompatibility:
+    """Event payloads are the WAL's on-disk format: a log written by the
+    ``json.dumps(event.to_dict(), sort_keys=True)`` encoder must read
+    back through today's decoder, and today's encoder must write the
+    same bytes."""
+
+    def stream(self):
+        return mixed_stream() + [
+            log(7, url='/q?a="b"&c=\\d\n', size=0),
+            log(MAX_ADDRESS, url="/caf\u00e9/\u2028", size=1 << 40),
+        ]
+
+    def test_dumps_written_log_recovers_to_the_same_clusters(self, tmp_path):
+        stream = self.stream()
+        reference = ServeDaemon(fresh_table(), ServeConfig(batch_size=2))
+        for event in stream:
+            reference.feed(event)
+        reference.finish()
+
+        legacy = str(tmp_path / "legacy")
+        writer = WalWriter(legacy, sync_every=1, segment_bytes=512)
+        for event in stream:
+            writer.append(
+                json.dumps(event.to_dict(), sort_keys=True).encode("utf-8")
+            )
+        writer.close()
+
+        recovered = ServeDaemon(
+            fresh_table(), ServeConfig(batch_size=2, wal_dir=legacy)
+        )
+        assert recovered.recover() == len(stream)
+        recovered.finish()
+        assert recovered.snapshot(name="run") == reference.snapshot(name="run")
+
+        current = str(tmp_path / "current")
+        daemon = ServeDaemon(
+            fresh_table(),
+            ServeConfig(batch_size=2, wal_dir=current, wal_segment_bytes=512),
+        )
+        daemon.attach_wal()
+        for event in stream:
+            daemon.feed(event)
+        daemon.abort()
+        assert [payload for _, payload in recover_wal(current).events] == [
+            payload for _, payload in recover_wal(legacy).events
+        ]
